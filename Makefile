@@ -4,7 +4,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: check test compile smoke bench bench-gate diff-fidelity fleet
+.PHONY: check test compile smoke bench bench-gate diff-fidelity fleet \
+	perfbench-test
 
 check: test compile smoke
 
@@ -20,6 +21,10 @@ smoke:
 
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+# the repo benchmark's own unit tests (outside tier-1's testpaths)
+perfbench-test:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 # perf-regression gate: scenarios vs tracked BENCH_*.json baselines.
 # Refresh baselines with `make bench-gate BENCH_GATE_FLAGS=--update`;

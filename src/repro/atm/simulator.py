@@ -31,7 +31,14 @@ _CALLBACK_BUCKETS = tuple(1e-7 * 4 ** i for i in range(10))
 
 @dataclass(order=True, slots=True)
 class Event:
-    """A scheduled callback.  Ordered by (time, seq) for determinism."""
+    """A scheduled callback.  Ordered by (time, seq) for determinism.
+
+    The heap holds ``(time, seq, event)`` tuples so that ordering runs
+    in C.  An event is only compared when two entries share ``(time,
+    seq)`` (continuations from :meth:`Simulator.reschedule_at`); its
+    ``(time, seq)`` equality then makes the two entries equal, so they
+    keep the order they would have had as bare events.
+    """
 
     time: float
     seq: int
@@ -52,7 +59,8 @@ class Simulator:
                  recorder: Optional[FlightRecorder] = None,
                  ledger: Optional[Ledger] = None,
                  profile_callbacks: bool = False) -> None:
-        self._queue: list[Event] = []
+        #: heap of (time, seq, event) entries
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._events_run = 0
@@ -141,18 +149,14 @@ class Simulator:
         if time < self._now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})")
-        ev = Event(time, seq, callback, args)
-        heapq.heappush(self._queue, ev)
-        self._m_scheduled.inc()
-        self._m_depth.set(len(self._queue))
-        sampler = self._sampler
-        if sampler is not None and sampler.dormant:
-            sampler.wake()
-        return ev
+        return self._push(time, callback, args, seq)
 
-    def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> Event:
-        ev = Event(time, next(self._seq), callback, args)
-        heapq.heappush(self._queue, ev)
+    def _push(self, time: float, callback: Callable[..., Any], args: tuple,
+              seq: Optional[int] = None) -> Event:
+        if seq is None:
+            seq = next(self._seq)
+        ev = Event(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, ev))
         self._m_scheduled.inc()
         self._m_depth.set(len(self._queue))
         sampler = self._sampler
@@ -186,28 +190,43 @@ class Simulator:
         at the last executed event so a subsequent ``run`` resumes
         without ever moving time backwards.
         """
-        count = 0
-        while self._queue:
-            ev = self._queue[0]
-            if ev.cancelled:
-                heapq.heappop(self._queue)
-                self._m_depth.set(len(self._queue))
-                continue
-            if until is not None and ev.time > until:
-                self._now = until
-                return self._now
-            heapq.heappop(self._queue)
-            self._now = ev.time
-            self.current_seq = ev.seq
-            self._execute(ev)
-            count += 1
-            if max_events is not None and count >= max_events:
-                break
+        self._drain(until, max_events)
         if until is not None and self._now < until:
             nxt = self._next_event_time()
             if nxt is None or nxt > until:
                 self._now = until
         return self._now
+
+    def step(self) -> bool:
+        """Run exactly one event.  Returns False if the queue is empty."""
+        return self._drain(None, 1) == 1
+
+    def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """Pop and execute events in order: the one loop behind both
+        :meth:`run` and :meth:`step`.
+
+        Cancelled entries at the head are discarded on the way.  Stops
+        when the queue is empty, when the next event lies beyond
+        *until*, or after *max_events* events; returns how many ran.
+        """
+        queue = self._queue
+        count = 0
+        while queue:
+            time, seq, ev = queue[0]
+            if ev.cancelled:
+                heapq.heappop(queue)
+                self._m_depth.set(len(queue))
+                continue
+            if until is not None and time > until:
+                break
+            heapq.heappop(queue)
+            self._now = time
+            self.current_seq = seq
+            self._execute(ev)
+            count += 1
+            if max_events is not None and count >= max_events:
+                break
+        return count
 
     def _execute(self, ev: Event) -> None:
         if self.profile_callbacks:
@@ -227,25 +246,15 @@ class Simulator:
     def _next_event_time(self) -> Optional[float]:
         """Timestamp of the next runnable event (cancelled ones are
         lazily discarded), or None when the queue is effectively empty."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        self._m_depth.set(len(self._queue))
-        return self._queue[0].time if self._queue else None
-
-    def step(self) -> bool:
-        """Run exactly one event.  Returns False if the queue is empty."""
-        while self._queue:
-            ev = heapq.heappop(self._queue)
-            if ev.cancelled:
-                continue
-            self._now = ev.time
-            self._execute(ev)
-            return True
-        return False
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heapq.heappop(queue)
+        self._m_depth.set(len(queue))
+        return queue[0][0] if queue else None
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for _t, _s, ev in self._queue if not ev.cancelled)
 
     def spawn(self, generator: Generator[float, None, None]) -> "Process":
         """Start a generator-based process; it runs its first segment now."""

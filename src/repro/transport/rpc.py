@@ -452,6 +452,15 @@ class RpcServer:
         if ctx is not None:
             msg.trace_id = ctx.trace_id
             msg.span_id = ctx.span_id
+        if self.connection.closed:
+            # the connection failed while the request was being
+            # served: nobody is left to read the reply, and raising
+            # here would unwind the simulator loop
+            self.sim.recorder.record(
+                "rpc", "reply_dropped", severity="warning",
+                trace_id=msg.trace_id or None, conn=self.connection.name,
+                corr_id=msg.corr_id, message=msg.type.name)
+            return
         self.connection.send(msg)
 
     def _dispatch(self, method: str, params: Any, corr_id: int,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atm.simulator import Simulator, run_all
+from repro.atm.simulator import Event, Simulator, run_all
 
 
 class TestScheduling:
@@ -22,6 +22,13 @@ class TestScheduling:
             sim.schedule(1.0, order.append, tag)
         sim.run()
         assert order == [0, 1, 2, 3, 4]
+        # still FIFO when the heap reshuffles around other timestamps
+        order.clear()
+        times = [3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 1.0, 3.0, 2.0, 1.0] * 3
+        for i, t in enumerate(times):
+            sim.schedule_at(10.0 + t, order.append, (t, i))
+        sim.run()
+        assert order == sorted(order)
 
     def test_now_advances_to_event_time(self):
         sim = Simulator()
@@ -193,3 +200,68 @@ class TestProcess:
 
         run_all(sim, [make(2), make(1)])
         assert out == [1, 2]
+
+
+class TestStep:
+    def test_step_sets_current_seq(self):
+        """A step()-driven callback sees its own seq, so a continuation
+        it schedules with reschedule_at inherits the right identity."""
+        sim = Simulator()
+        seen = []
+        evs = [sim.schedule(1.0, lambda: seen.append(sim.current_seq))
+               for _ in range(3)]
+        sim.run(max_events=1)
+        assert sim.step() is True
+        assert sim.step() is True
+        assert seen == [ev.seq for ev in evs]
+
+    def test_step_skips_cancelled_head(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, 1).cancel()
+        sim.schedule(2.0, fired.append, 2)
+        assert sim.step() is True
+        assert fired == [2] and sim.now == 2.0
+        assert sim.step() is False
+
+
+class TestHeapOrder:
+    def test_shared_seq_continuations_keep_heap_order(self):
+        """Entries sharing (time, seq) compare equal, so the heap, not
+        insertion order, decides between them.  This scenario pops them
+        in reverse; a fresh tiebreaker would make it [0, 1]."""
+        sim = Simulator()
+        order = []
+
+        def origin():
+            for i in range(2):
+                sim.reschedule_at(2.0, sim.current_seq, order.append, i)
+
+        sim.schedule(1.0, origin)
+        sim.schedule(1.5, lambda: None)
+        sim.schedule(1.5, lambda: None)
+        sim.run()
+        assert order == [1, 0]
+
+    def test_reschedule_at_returns_event_with_inherited_seq(self):
+        sim = Simulator()
+        ev = sim.schedule(1.0, lambda: None)
+        cont = sim.reschedule_at(2.0, ev.seq, lambda: None)
+        assert (cont.time, cont.seq) == (2.0, ev.seq)
+        assert cont == Event(2.0, ev.seq, print)  # equality is (time, seq)
+
+    def test_next_event_time_skips_cancelled_head(self):
+        sim = Simulator()
+        a = sim.schedule(1.0, lambda: None)
+        b = sim.schedule(2.0, lambda: None)
+        c = sim.schedule(3.0, lambda: None)
+        assert sim._next_event_time() == 1.0
+        a.cancel()
+        b.cancel()
+        assert sim.pending() == 1
+        assert sim._next_event_time() == 3.0
+        assert len(sim._queue) == 1  # cancelled head entries discarded
+        c.cancel()
+        assert sim.pending() == 0
+        assert sim._next_event_time() is None
+        assert sim.run(until=5.0) == 5.0

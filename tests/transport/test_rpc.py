@@ -5,7 +5,7 @@ import pytest
 from repro.atm import Simulator, TrafficContract, ServiceCategory
 from repro.atm.topology import star_campus
 from repro.transport.connection import connect_pair
-from repro.transport.rpc import RpcClient, RpcError, RpcServer
+from repro.transport.rpc import RpcClient, RpcError, RpcServer, SharedProcessor
 
 
 def setup_rpc(service_time=0.0, buffer_cells=1024):
@@ -158,3 +158,35 @@ class TestServerCloning:
         RpcClient(sim, cc2).call("hello", "two", on_result=r2.append)
         sim.run(until=2.0)
         assert r1 == ["hi one"] and r2 == ["hi two"]
+
+
+class TestReplyOnClosedConnection:
+    """A request still queued on the shared CPU when its connection
+    fails must not raise out of the simulator loop when it finishes."""
+
+    def _queued_then_closed(self, register):
+        sim, client, server = setup_rpc()
+        server.processor = SharedProcessor(sim, service_time=0.5)
+        register(server)
+        client.call("echo", "hi", timeout=5.0)
+        sim.run(until=0.1)  # request delivered, waiting on the CPU
+        assert server.processor.jobs_done == 0
+        server.connection.close()
+        sim.run(until=2.0)  # the job finishes on the closed connection
+        return sim, server
+
+    def test_reply_dropped_and_recorded(self):
+        sim, server = self._queued_then_closed(
+            lambda s: s.register("echo", lambda p: p))
+        assert server.requests_served == 1
+        dropped = sim.recorder.by_kind("reply_dropped")
+        assert [(e.component, e.attrs["message"]) for e in dropped] == [
+            ("rpc", "RESPONSE")]
+        assert dropped[0].attrs["conn"] == server.connection.name
+
+    def test_stream_reply_dropped(self):
+        sim, server = self._queued_then_closed(
+            lambda s: s.register_stream("echo", lambda p: [b"x" * 10]))
+        kinds = [e.attrs["message"]
+                 for e in sim.recorder.by_kind("reply_dropped")]
+        assert kinds == ["STREAM_DATA", "STREAM_END"]

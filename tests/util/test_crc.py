@@ -1,9 +1,31 @@
 """Tests for the CRC generators."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.util.crc import crc8_hec, crc32_aal5, crc32_final
+
+
+def _reference_table() -> list:
+    """CRC-32 (IEEE 802.3 / AAL5) table, reflected polynomial."""
+    table = []
+    for byte in range(256):
+        reg = byte
+        for _ in range(8):
+            reg = (reg >> 1) ^ 0xEDB88320 if reg & 1 else reg >> 1
+        table.append(reg)
+    return table
+
+
+_TABLE = _reference_table()
+
+
+def reference_crc32_aal5(data: bytes, crc: int = 0xFFFFFFFF) -> int:
+    """Table-driven running CRC-32: the definition crc32_aal5 must match."""
+    reg = crc
+    for b in data:
+        reg = _TABLE[(reg ^ b) & 0xFF] ^ (reg >> 8)
+    return reg
 
 
 class TestHec:
@@ -55,3 +77,13 @@ class TestCrc32:
     @given(st.binary(min_size=1, max_size=200))
     def test_detects_truncation(self, data):
         assert crc32_aal5(data) != crc32_aal5(data[:-1])
+
+    def test_reference_check_value(self):
+        assert crc32_final(reference_crc32_aal5(b"123456789")) == 0xCBF43926
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(max_size=30_000), st.integers(0, 0xFFFFFFFF))
+    @example(bytes(range(256)) * 117, 0x0BADF00D)  # 29 952 bytes
+    @example(b"\xff" * 30_000, 0)
+    def test_matches_reference(self, data, reg):
+        assert crc32_aal5(data, reg) == reference_crc32_aal5(data, reg)
