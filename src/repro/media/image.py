@@ -7,6 +7,14 @@ coding.  Output size therefore responds to image content and quality
 the way JPEG's does, which is what the storage and streaming
 experiments need; only the Huffman tables are simplified.
 
+The entropy coder runs in two directions at two speeds.  Encoding is
+array code: every block's (run, level) symbols are laid out at once
+and their codewords written in one
+:meth:`~repro.util.bitstream.BitWriter.write_codes` call.  Decoding
+walks the codewords one bit at a time through
+:class:`~repro.util.bitstream.BitReader`.  Both follow the same
+bitstream definition, so ``decode(encode(x))`` round-trips.
+
 Images are 2-D ``uint8`` arrays (grayscale).  Multi-band content can
 be encoded band by band.
 """
@@ -22,6 +30,8 @@ from repro.util.bitstream import BitReader, BitWriter
 from repro.util.errors import DecodingError, EncodingError
 
 _MAGIC = b"SIMG"
+_HEADER = ">HHB"  # height, width, quality
+_HEADER_SIZE = len(_MAGIC) + struct.calcsize(_HEADER)
 
 #: ISO/IEC 10918-1 Annex K luminance quantisation table
 _QUANT_BASE = np.array([
@@ -56,14 +66,6 @@ def quant_table(quality: int) -> np.ndarray:
     return np.clip(q, 1, 255)
 
 
-def _write_ue(w: BitWriter, v: int) -> None:
-    """Unsigned exponential-Golomb code."""
-    n = v + 1
-    nbits = n.bit_length()
-    w.write(0, nbits - 1)
-    w.write(n, nbits)
-
-
 def _read_ue(r: BitReader) -> int:
     zeros = 0
     while r.read(1) == 0:
@@ -71,11 +73,6 @@ def _read_ue(r: BitReader) -> int:
         if zeros > 40:
             raise DecodingError("malformed exp-Golomb code")
     return ((1 << zeros) | r.read(zeros)) - 1 if zeros else 0
-
-
-def _write_se(w: BitWriter, v: int) -> None:
-    """Signed exponential-Golomb code."""
-    _write_ue(w, 2 * v - 1 if v > 0 else -2 * v)
 
 
 def _read_se(r: BitReader) -> int:
@@ -86,23 +83,46 @@ def _read_se(r: BitReader) -> int:
 _EOB_RUN = 63  # run value reserved as end-of-block marker
 
 
-def _encode_blocks(blocks: np.ndarray, w: BitWriter) -> None:
-    """Entropy-code quantised coefficient blocks (N, 64) in zigzag order."""
-    for block in blocks:
-        zz = block[_ZIGZAG]
-        nz = np.nonzero(zz)[0]
-        prev = -1
-        for i in nz:
-            run = int(i - prev - 1)
-            # long zero runs are split so EOB stays unambiguous
-            while run >= _EOB_RUN:
-                _write_ue(w, _EOB_RUN - 1)
-                _write_se(w, 0)
-                run -= _EOB_RUN - 1
-            _write_ue(w, run)
-            _write_se(w, int(zz[i]))
-            prev = i
-        _write_ue(w, _EOB_RUN)
+def _encode_blocks(blocks: np.ndarray) -> bytes:
+    """Entropy-code quantised blocks, (N, 64) int32, in zigzag order.
+
+    Each nonzero coefficient is coded as ``ue(run) se(level)``, where
+    *run* counts the zeros since the previous nonzero of its block, and
+    each block ends with ``ue(63)``.  A run of 63 or more is split as
+    ``ue(62) se(0)`` first, so the end-of-block code stays unambiguous;
+    in a 64-coefficient block that happens at most once.  The stream is
+    written most-significant bit first and zero-padded to a byte.
+    """
+    zz = np.asarray(blocks)[:, _ZIGZAG]
+    nblocks = len(zz)
+    blk, pos = np.nonzero(zz)
+    level = zz[blk, pos].astype(np.int64)
+    first = np.ones(len(pos), dtype=bool)
+    first[1:] = blk[1:] != blk[:-1]
+    prev = np.empty_like(pos)
+    prev[1:] = pos[:-1]
+    prev[first] = -1
+    run = pos - prev - 1
+    split = run >= _EOB_RUN
+
+    # symbol layout: 2 or 4 per nonzero, then one end-of-block per block
+    counts = 2 + 2 * split
+    ends = np.concatenate(([0], np.cumsum(counts)))
+    start = ends[:-1] + blk
+    per_block = np.bincount(blk, minlength=nblocks)
+    eob = ends[np.cumsum(per_block)] + np.arange(nblocks)
+    symbols = np.zeros(ends[-1] + nblocks, dtype=np.int64)
+    symbols[start[split]] = _EOB_RUN - 1  # se(0) after it is symbol 0
+    at = start + 2 * split
+    symbols[at] = run - (_EOB_RUN - 1) * split
+    symbols[at + 1] = np.where(level > 0, 2 * level - 1, -2 * level)
+    symbols[eob] = _EOB_RUN
+
+    # ue(v): v + 1 written in 2 * bitlen(v + 1) - 1 bits
+    code = symbols + 1
+    w = BitWriter()
+    w.write_codes(code, 2 * np.frexp(code)[1] - 1)
+    return w.getvalue()
 
 
 def _decode_blocks(r: BitReader, nblocks: int) -> np.ndarray:
@@ -153,18 +173,18 @@ class ImageCodec:
         q = quant_table(self.quality)
         quantised = np.round(coeffs / q).astype(np.int32).reshape(-1, 64)
 
-        out = BitWriter()
-        _encode_blocks(quantised, out)
-        header = _MAGIC + struct.pack(">HHB", h, w, self.quality)
-        return header + out.getvalue()
+        header = _MAGIC + struct.pack(_HEADER, h, w, self.quality)
+        return header + _encode_blocks(quantised)
 
     def decode(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:
             raise DecodingError("not an SIMG payload")
-        h, w, quality = struct.unpack_from(">HHB", data, 4)
+        if len(data) < _HEADER_SIZE:
+            raise DecodingError("truncated SIMG header")
+        h, w, quality = struct.unpack_from(_HEADER, data, len(_MAGIC))
         H, W = h + ((-h) % 8), w + ((-w) % 8)
         nblocks = (H // 8) * (W // 8)
-        r = BitReader(data[9:])
+        r = BitReader(data[_HEADER_SIZE:])
         quantised = _decode_blocks(r, nblocks)
         q = quant_table(quality)
         coeffs = (quantised * q.reshape(-1)).reshape(-1, 8, 8)

@@ -23,10 +23,15 @@ import numpy as np
 import scipy.fft
 
 from repro.media.image import quant_table, _encode_blocks, _decode_blocks
-from repro.util.bitstream import BitReader, BitWriter
+from repro.util.bitstream import BitReader
 from repro.util.errors import DecodingError, EncodingError
 
 _MAGIC = b"SMPG"
+_HEADER = ">HHHfB"
+#: magic, sequence header, then one quality byte
+_HEADER_SIZE = len(_MAGIC) + struct.calcsize(_HEADER) + 1
+_FRAME_HEADER = ">BI"  # kind, payload size
+_FRAME_HEADER_SIZE = struct.calcsize(_FRAME_HEADER)
 _FRAME_I = 0
 _FRAME_P = 1
 
@@ -67,12 +72,18 @@ class VideoCodec:
 
     # -- encoding ---------------------------------------------------------
 
-    def _code_plane(self, plane: np.ndarray, q: np.ndarray) -> bytes:
+    def _code_plane(self, plane: np.ndarray,
+                    q: np.ndarray) -> Tuple[bytes, np.ndarray]:
+        """Code *plane*; return the payload and the plane a decoder
+        rebuilds from it (the float64 array :meth:`_decode_plane`
+        yields, so predictions stay bit-identical)."""
+        H, W = plane.shape
         coeffs = scipy.fft.dctn(_blockify(plane), axes=(1, 2), norm="ortho")
         quantised = np.round(coeffs / q).astype(np.int32).reshape(-1, 64)
-        w = BitWriter()
-        _encode_blocks(quantised, w)
-        return w.getvalue()
+        dequantised = quantised.astype(np.float64) * q.reshape(-1)
+        recon = scipy.fft.idctn(dequantised.reshape(-1, 8, 8),
+                                axes=(1, 2), norm="ortho")
+        return _encode_blocks(quantised), _unblockify(recon, H, W)
 
     def _decode_plane(self, data: bytes, H: int, W: int,
                       q: np.ndarray) -> np.ndarray:
@@ -99,15 +110,15 @@ class VideoCodec:
             plane = frames[t].astype(np.float64) - 128.0
             if t % self.gop == 0 or reference is None:
                 kind = _FRAME_I
-                payload = self._code_plane(plane, q)
-                recon = self._decode_plane(payload, h, w, q)
+                payload, recon = self._code_plane(plane, q)
             else:
                 kind = _FRAME_P
-                payload = self._code_plane(plane - reference, q)
-                recon = reference + self._decode_plane(payload, h, w, q)
+                payload, residual = self._code_plane(plane - reference, q)
+                recon = reference + residual
             reference = recon
-            parts.append(struct.pack(">BI", kind, len(payload)) + payload)
-        header = _MAGIC + struct.pack(">HHHfB", T, h, w,
+            parts.append(struct.pack(_FRAME_HEADER, kind, len(payload))
+                         + payload)
+        header = _MAGIC + struct.pack(_HEADER, T, h, w,
                                       self.frame_rate, self.gop)
         return header + struct.pack(">B", self.quality) + b"".join(parts)
 
@@ -118,23 +129,19 @@ class VideoCodec:
         """(frames, height, width, frame_rate, gop, quality)."""
         if data[:4] != _MAGIC:
             raise DecodingError("not an SMPG payload")
-        T, h, w, rate, gop = struct.unpack_from(">HHHfB", data, 4)
-        quality = data[4 + struct.calcsize(">HHHfB")]
+        if len(data) < _HEADER_SIZE:
+            raise DecodingError("truncated SMPG header")
+        T, h, w, rate, gop = struct.unpack_from(_HEADER, data, 4)
+        quality = data[_HEADER_SIZE - 1]
         return T, h, w, rate, gop, quality
 
     def decode(self, data: bytes) -> np.ndarray:
         T, h, w, rate, gop, quality = self.parse_header(data)
         q = quant_table(quality)
-        pos = 4 + struct.calcsize(">HHHfB") + 1
         out = np.empty((T, h, w), dtype=np.uint8)
         reference = None
-        for t in range(T):
-            kind, size = struct.unpack_from(">BI", data, pos)
-            pos += 5
-            payload = data[pos:pos + size]
-            if len(payload) != size:
-                raise DecodingError("truncated video frame")
-            pos += size
+        for t, (kind, start, size) in enumerate(_frame_table(data, T)):
+            payload = data[start + _FRAME_HEADER_SIZE:start + size]
             plane = self._decode_plane(payload, h, w, q)
             if kind == _FRAME_I:
                 recon = plane
@@ -149,6 +156,27 @@ class VideoCodec:
         return out
 
 
+def _frame_table(data: bytes, frames: int) -> List[Tuple[int, int, int]]:
+    """(kind, start, size incl. frame header) of each frame of *data*.
+
+    The frames must fill the payload after the sequence header exactly.
+    """
+    table: List[Tuple[int, int, int]] = []
+    pos = _HEADER_SIZE
+    for _ in range(frames):
+        if pos + _FRAME_HEADER_SIZE > len(data):
+            raise DecodingError("truncated frame header")
+        kind, size = struct.unpack_from(_FRAME_HEADER, data, pos)
+        size += _FRAME_HEADER_SIZE
+        if pos + size > len(data):
+            raise DecodingError("truncated video frame")
+        table.append((kind, pos, size))
+        pos += size
+    if pos != len(data):
+        raise DecodingError("trailing bytes after last frame")
+    return table
+
+
 class VideoStream:
     """Frame-granular access to an encoded sequence, for streaming."""
 
@@ -156,14 +184,7 @@ class VideoStream:
         (self.frames, self.height, self.width, self.frame_rate,
          self.gop, self.quality) = VideoCodec.parse_header(data)
         self._data = data
-        self._offsets: List[Tuple[int, int, int]] = []  # (kind, start, size)
-        pos = 4 + struct.calcsize(">HHHfB") + 1
-        for _ in range(self.frames):
-            kind, size = struct.unpack_from(">BI", data, pos)
-            self._offsets.append((kind, pos, size + 5))
-            pos += 5 + size
-        if pos != len(data):
-            raise DecodingError("trailing bytes after last frame")
+        self._offsets = _frame_table(data, self.frames)
 
     @property
     def duration(self) -> float:

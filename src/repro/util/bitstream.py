@@ -3,9 +3,15 @@
 The ATM cell header packs fields at sub-byte granularity (GFC is 4
 bits, VPI 8, VCI 16, PTI 3, CLP 1) and the synthetic media codecs use
 variable-length codes, so both need a small big-endian bit stream.
+The cell header writes field by field with :meth:`BitWriter.write`.
+The media encoders hand all their codewords over in one
+:meth:`BitWriter.write_codes` call, which lays them out with array
+code; their decoders read bit by bit through :class:`BitReader`.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.util.errors import DecodingError
 
@@ -34,6 +40,32 @@ class BitWriter:
             if bit:
                 self._bytes[-1] |= 1 << (7 - self._bitpos)
             self._bitpos = (self._bitpos + 1) % 8
+
+    def write_codes(self, codes: np.ndarray, nbits: np.ndarray) -> None:
+        """Append ``codes[i]`` in its ``nbits[i]`` low-order bits, MSB
+        first, for every *i* in order: the bits ``write`` would append
+        one codeword at a time.  Codewords are at most 63 bits."""
+        codes = np.asarray(codes, dtype=np.int64)
+        nbits = np.asarray(nbits, dtype=np.int64)
+        if codes.shape != nbits.shape or codes.ndim != 1:
+            raise ValueError("codes and nbits must be 1-D and equal length")
+        if ((nbits < 0) | (nbits > 63)).any():
+            raise ValueError("nbits must be in 0..63")
+        if ((codes < 0) | (codes >> nbits != 0)).any():
+            raise ValueError("a code does not fit in its nbits")
+        lead = self._bitpos  # bits of the last byte already in use
+        bit_end = np.cumsum(nbits) + lead
+        bits = np.zeros(int(bit_end[-1]) if len(bit_end) else lead,
+                        dtype=np.uint8)
+        if lead:
+            bits[:lead] = np.unpackbits(
+                np.frombuffer(self._bytes[-1:], dtype=np.uint8))[:lead]
+            del self._bytes[-1]
+        for k in range(int(nbits.max(initial=0))):
+            hit = ((codes >> k) & 1).astype(bool)
+            bits[bit_end[hit] - 1 - k] = 1
+        self._bytes.extend(np.packbits(bits).tobytes())
+        self._bitpos = len(bits) % 8
 
     def write_bytes(self, data: bytes) -> None:
         """Append whole bytes.  Fast path when byte-aligned."""

@@ -82,6 +82,12 @@ class TestImageCodec:
         with pytest.raises(DecodingError):
             ImageCodec().decode(b"JUNKJUNKJUNK")
 
+    @pytest.mark.parametrize("cut", [4, 5, 8])
+    def test_truncated_header_is_decoding_error(self, cut):
+        data = ImageCodec().encode(smooth_image((16, 16)))
+        with pytest.raises(DecodingError):
+            ImageCodec().decode(data[:cut])
+
     @given(seed=st.integers(0, 2**16), h=st.integers(8, 40), w=st.integers(8, 40),
            quality=st.integers(20, 95))
     @settings(max_examples=25, deadline=None,

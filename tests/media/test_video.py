@@ -1,11 +1,13 @@
 """Tests for the MPEG-like video codec and streaming wrapper."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.media.image import psnr
 from repro.media.production import MediaProductionCenter
-from repro.media.video import VideoCodec, VideoStream
+from repro.media.video import _HEADER_SIZE, VideoCodec, VideoStream
 from repro.util.errors import DecodingError, EncodingError
 
 
@@ -64,6 +66,20 @@ class TestVideoCodec:
         with pytest.raises(DecodingError):
             VideoCodec().decode(b"NOPEnope")
 
+    def test_truncated_header_is_decoding_error(self):
+        with pytest.raises(DecodingError):
+            VideoCodec().decode(b"SMPG\x00")
+
+    def test_truncated_frame_header_is_decoding_error(self):
+        data = VideoCodec().encode(moving_sequence(T=2))
+        with pytest.raises(DecodingError):
+            VideoCodec().decode(data[:_HEADER_SIZE + 3])
+
+    def test_trailing_bytes_rejected(self):
+        data = VideoCodec().encode(moving_sequence(T=3))
+        with pytest.raises(DecodingError, match="trailing bytes"):
+            VideoCodec().decode(data + b"x")
+
 
 class TestVideoStream:
     def test_frame_iteration_timestamps(self):
@@ -91,6 +107,16 @@ class TestVideoStream:
         data = VideoCodec().encode(moving_sequence(T=3))
         with pytest.raises(DecodingError):
             VideoStream(data + b"x")
+
+    def test_header_without_quality_byte_is_decoding_error(self):
+        with pytest.raises(DecodingError):
+            VideoStream(b"SMPG" + struct.pack(">HHHfB", 1, 8, 8, 10.0, 12))
+
+    def test_truncated_frame_is_decoding_error(self):
+        data = VideoCodec().encode(moving_sequence(T=2))
+        for cut in (_HEADER_SIZE + 3, len(data) - 1):
+            with pytest.raises(DecodingError):
+                VideoStream(data[:cut])
 
     def test_burstiness_of_produced_video(self):
         pc = MediaProductionCenter()

@@ -1,5 +1,6 @@
 """Tests for the bit-level reader/writer."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +48,44 @@ class TestBitWriter:
         w.write(0b1111, 4)
         w.write_bytes(b"\x00")
         assert w.getvalue() == bytes([0xF0, 0x00])
+
+    def test_write_codes_known_layout(self):
+        w = BitWriter()
+        w.write_codes(np.array([1, 2, 0, 5]), np.array([1, 3, 2, 3]))
+        assert w.getvalue() == bytes([0b10100010, 0b10000000])
+        assert len(w) == 9
+
+    def test_write_codes_rejects_bad_codes(self):
+        w = BitWriter()
+        with pytest.raises(ValueError):
+            w.write_codes(np.array([4]), np.array([2]))
+        with pytest.raises(ValueError):
+            w.write_codes(np.array([-1]), np.array([8]))
+        with pytest.raises(ValueError):
+            w.write_codes(np.array([1, 2]), np.array([2]))
+        assert w.getvalue() == b""
+
+    @given(st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 41)),
+                    max_size=40),
+           st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 41)),
+                    max_size=40),
+           st.integers(0, 15))
+    def test_write_codes_equals_write(self, before, fields, lead):
+        """A bulk write appends exactly the bits of one write() per
+        code, wherever in a byte the writer stands."""
+        fields = [(v & ((1 << n) - 1), n) for v, n in fields]
+        bulk, serial = BitWriter(), BitWriter()
+        for w in (bulk, serial):
+            w.write(0b101, 3)
+            for v, n in before:
+                w.write(v & ((1 << n) - 1), n)
+            w.write(0, lead)
+        bulk.write_codes(np.array([v for v, _ in fields], dtype=np.int64),
+                         np.array([n for _, n in fields], dtype=np.int64))
+        for v, n in fields:
+            serial.write(v, n)
+        assert len(bulk) == len(serial)
+        assert bulk.getvalue() == serial.getvalue()
 
 
 class TestBitReader:
