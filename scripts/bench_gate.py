@@ -118,13 +118,16 @@ def baseline_path(scenario: str, out_dir: str) -> str:
 
 
 def measure_obs_overhead(scenario: str, pairs: int = 3) -> float:
-    """End-to-end obs cost: full-fidelity obs-on vs obs-off wall delta.
+    """Run-phase obs cost: full-fidelity obs-on vs obs-off wall delta.
 
     Dedicated run pairs without the profiler (its wrapper would
     dominate the comparison): one run with the default observability
     stack (tracing, telemetry, watchdog, self-metering), one with all
-    of it off.  The delta catches costs the in-process meter cannot
-    see from inside — allocation and cache pressure included.
+    of it off.  Only ``run_to_horizon()`` is timed: ``build()`` (media
+    production, publishing) runs the same work in both arms, and
+    timing it would dilute the overhead.  The delta catches costs the
+    in-process meter cannot see from inside — allocation and cache
+    pressure included.
 
     A single pair is hopelessly noisy on sub-second scenarios (a
     scheduler hiccup reads as 20% "overhead"), so the minimum over
@@ -134,12 +137,14 @@ def measure_obs_overhead(scenario: str, pairs: int = 3) -> float:
     """
     best = None
     for _ in range(pairs):
+        run = build(scenario)
         t0 = time.perf_counter()
-        build(scenario).run_to_horizon()
+        run.run_to_horizon()
         wall_on = time.perf_counter() - t0
+        run = build(scenario, tracing=False, telemetry_interval=None,
+                    watchdog=False, meter=False)
         t0 = time.perf_counter()
-        build(scenario, tracing=False, telemetry_interval=None,
-              watchdog=False, meter=False).run_to_horizon()
+        run.run_to_horizon()
         wall_off = time.perf_counter() - t0
         if wall_off <= 0:
             return 0.0

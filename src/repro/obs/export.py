@@ -13,6 +13,12 @@ reads back:
 * ``timeseries_<name>.json`` — the sampler's ring-buffered series,
   for the dashboard.
 
+The JSON sidecars are compact (not indented): ``json.dumps`` without
+``indent`` runs CPython's C encoder, where ``indent=2`` always takes
+the pure-Python one.  The timeseries sidecar is streamed one series at
+a time (:func:`write_json`), so the whole document never sits in
+memory as one string.
+
 When the deployment's ledger is enabled a fourth sidecar,
 ``accounting_<name>.json``, carries the per-entity attribution for
 ``python -m repro.obs top``; the metrics sidecar also embeds the
@@ -34,11 +40,35 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator, Mapping
 from typing import Any, Dict, List, Optional
 
 from repro.obs.audit import ConservationAuditor
 
-__all__ = ["critical_block", "dump_observability", "telemetry_health"]
+__all__ = ["critical_block", "dump_observability", "telemetry_health",
+           "write_json"]
+
+
+def write_json(fh, obj: Any, depth: int = 2) -> None:
+    """Write *obj* as ``json.dumps(obj, sort_keys=True)`` would, but one
+    member at a time down to *depth* levels of dicts and lists (or
+    iterators, written as lists), so no whole-document string is built.
+    Below *depth* each member is one C-encoder ``json.dumps`` call."""
+    if depth and isinstance(obj, Mapping):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write((", " if i else "") + json.dumps(str(key)) + ": ")
+            write_json(fh, obj[key], depth - 1)
+        fh.write("}")
+    elif depth and isinstance(obj, (list, Iterator)):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                fh.write(", ")
+            write_json(fh, item, depth - 1)
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj, sort_keys=True))
 
 
 def critical_block(spans) -> Optional[Dict[str, Any]]:
@@ -132,7 +162,7 @@ def dump_observability(mits, name: str, out_dir: str,
         # telemetry block (and never in the JSONL stream)
         dump["overhead"] = meter.report()
     with open(metrics_path, "w") as fh:
-        json.dump(dump, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(dump, sort_keys=True))
     written.append(metrics_path)
 
     trace_path = os.path.join(out_dir, f"trace_{name}.jsonl")
@@ -159,16 +189,15 @@ def dump_observability(mits, name: str, out_dir: str,
         # would inflate the samples counter past what the fin recorded)
         ts_path = os.path.join(out_dir, f"timeseries_{name}.json")
         with open(ts_path, "w") as fh:
-            json.dump({"name": name, **sampler.snapshot()}, fh,
-                      indent=2, sort_keys=True)
+            write_json(fh, {"name": name, **sampler.snapshot(lazy=True)})
         written.append(ts_path)
 
     ledger = getattr(sim, "ledger", None)
     if ledger is not None and ledger.enabled:
         acct_path = os.path.join(out_dir, f"accounting_{name}.json")
         with open(acct_path, "w") as fh:
-            json.dump({"name": name, "sim_time": sim.now,
-                       **ledger.snapshot(sim_time=sim.now)}, fh,
-                      indent=2, sort_keys=True)
+            fh.write(json.dumps({"name": name, "sim_time": sim.now,
+                                 **ledger.snapshot(sim_time=sim.now)},
+                                sort_keys=True))
         written.append(acct_path)
     return written

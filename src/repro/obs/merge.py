@@ -93,6 +93,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs.accounting import ACCOUNT_SUM_FIELDS, account_weight
 from repro.obs.events import event_sort_key
+from repro.obs.export import write_json
 from repro.obs.metrics import iter_report
 from repro.obs.slo import judge_report
 from repro.obs.timeseries import Series
@@ -409,7 +410,9 @@ def _align_series(sources: List[Mapping[str, Any]]) -> Dict[str, Any]:
     merged = Series(first["component"], first["name"],
                     first.get("labels") or {}, kind,
                     capacity=max(2, len(grid)))
-    for gi, t in enumerate(grid):
+    values: List[Any] = []
+    p99s: List[Optional[float]] = []
+    for gi in range(len(grid)):
         at_tick = [c[gi] for c in carried]
         if kind in ("counter", "histogram"):
             # cumulative-from-zero: a shard with no sample yet
@@ -424,7 +427,9 @@ def _align_series(sources: List[Mapping[str, Any]]) -> Dict[str, Any]:
         if p99_carried is not None:
             known = [c[gi] for c in p99_carried if c[gi] is not None]
             p99 = max(known) if known else 0.0
-        merged.record(t, value, p99=p99)
+        values.append(value)
+        p99s.append(p99)
+    merged.extend(grid, values, p99s)
     out = merged.to_dict()
     out["evicted"] = sum(s.get("evicted", 0) for s in sources)
     if any("coalesced" in s for s in sources):
@@ -769,7 +774,9 @@ def write_merged(merged: Mapping[str, Any], path: str) -> str:
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
+        # members down to the timeseries' series / the span list are
+        # written one at a time: the archive is never one string
+        write_json(fh, merged, depth=3)
         fh.write("\n")
     return path
 

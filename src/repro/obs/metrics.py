@@ -239,6 +239,9 @@ class MetricsRegistry:
     def __init__(self, *, enabled: bool = True) -> None:
         self.enabled = enabled
         self._instruments: Dict[Tuple[str, str, LabelKey], Any] = {}
+        #: bumped by every reset(): instruments only ever join the end
+        #: of ``_instruments`` within one generation
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._instruments)
@@ -286,6 +289,7 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every instrument (a fresh run on the same registry)."""
         self._instruments.clear()
+        self.generation += 1
 
     def report(self) -> Dict[str, Any]:
         """Nested ``{component: {name: [{labels, ...snapshot}]}}`` dump."""

@@ -239,11 +239,13 @@ class ObsSink:
 def _rebuild_timeseries(meta: Dict[str, Any],
                         fin: Dict[str, Any],
                         ticks: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Replay streamed telemetry ticks into a sampler-snapshot shape.
+    """Rebuild streamed telemetry ticks into a sampler-snapshot shape.
 
-    Rings are rebuilt with the run's real capacity and coalescing
-    policy, so the result renders exactly like the live sampler's
-    ``snapshot()`` (same evictions, same standing points).
+    Each key's points are gathered into one column and built with
+    :meth:`Series.extend`, the sampler's own materialiser, at the run's
+    real capacity and coalescing policy, so the result renders exactly
+    like the live sampler's ``snapshot()`` (same evictions, same
+    standing points).
     """
     from repro.obs.timeseries import Series
 
@@ -252,21 +254,27 @@ def _rebuild_timeseries(meta: Dict[str, Any],
     ts_meta.update(fin.get("timeseries") or {})
     capacity = int(ts_meta.get("capacity", 512))
     coalesce = bool(policy.get("telemetry_coalesce", False))
-    series_map: Dict[Tuple[str, str, Any], Series] = {}
+    # one column (times, values, p99s) per key, in first-seen order
+    columns: Dict[Tuple[str, str, Any], Tuple[List[Any], ...]] = {}
     for tick in ticks:
         time = tick["time"]
         for component, name, labels, kind, value, _rate, p99 in \
                 tick["rows"]:
             key = (component, name, tuple(sorted(labels.items())))
-            series = series_map.get(key)
-            if series is None:
-                series = Series(component, name, labels, kind,
-                                capacity, coalesce=coalesce)
-                series_map[key] = series
-            if series.times and series.times[-1] == time:
+            col = columns.get(key)
+            if col is None:
+                col = columns[key] = ([component, name, labels, kind],
+                                      [], [], [])
+            if col[1] and col[1][-1] == time:
                 continue  # a snapshot() flush re-emitted this tick
-            series.record(time, value,
-                          p99=p99 if kind == "histogram" else None)
+            col[1].append(time)
+            col[2].append(value)
+            col[3].append(p99 if kind == "histogram" else None)
+    series_map: Dict[Tuple[str, str, Any], Series] = {}
+    for key, (head, times, values, p99s) in columns.items():
+        series = series_map[key] = Series(*head, capacity,
+                                          coalesce=coalesce)
+        series.extend(times, values, p99s)
     payload: Dict[str, Any] = {
         "enabled": True,
         "interval": ts_meta.get("interval"),

@@ -43,6 +43,9 @@ def _stuck_queue(w: "Watchdog", now: float) -> List[Firing]:
     for label, (link, hist) in w._link_state.items():
         if len(hist) <= n:
             continue
+        first, last = hist[-(n + 1)], hist[-1]
+        if first[0] <= 0 or last[0] != first[0] or last[1] != first[1]:
+            continue  # the window's ends already rule it out
         window = list(hist)[-(n + 1):]
         queued = [s[0] for s in window]
         transmitted = [s[1] for s in window]
@@ -57,8 +60,8 @@ def _rising_drop_rate(w: "Watchdog", now: float) -> List[Firing]:
     out: List[Firing] = []
     n = w.drop_window
     for label, (link, hist) in w._link_state.items():
-        if len(hist) <= n:
-            continue
+        if len(hist) <= n or (n and hist[-1][2] <= hist[-2][2]):
+            continue  # not rising at the last tick
         drops = [s[2] for s in list(hist)[-(n + 1):]]
         if all(b > a for a, b in zip(drops, drops[1:])):
             out.append((label, {"drops": drops[-1] - drops[0],

@@ -34,6 +34,15 @@ class TestSidecarSet:
         assert names == ["accounting_rt.json", "metrics_rt.json",
                          "timeseries_rt.json", "trace_rt.jsonl"]
 
+    def test_timeseries_sidecar_is_the_compact_snapshot(self, dumped):
+        """Streamed one series at a time, the sidecar is byte for byte
+        the one-shot sorted-key dump of the live snapshot."""
+        mits, out, _ = dumped
+        with open(os.path.join(out, "timeseries_rt.json")) as fh:
+            text = fh.read()
+        assert text == json.dumps({"name": "rt", **mits.sampler.snapshot()},
+                                  sort_keys=True)
+
     def test_metrics_sidecar_embeds_a_clean_audit(self, dumped):
         _, out, _ = dumped
         meta, _ = load_metrics_file(os.path.join(out, "metrics_rt.json"))

@@ -2,6 +2,9 @@
 
 from types import SimpleNamespace
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.atm.simulator import Simulator
 from repro.obs.slo import SloMonitor
 from repro.obs.watchdog import DEFAULT_DETECTORS, Watchdog
@@ -213,3 +216,40 @@ class TestSloEscalation:
         summary = SloMonitor().summary(self._clean_report())
         assert summary["verdict"] == "ok"
         assert "watchdog_alerts" not in summary
+
+
+class TestLinkDetectorsMatchTheirDefinition:
+    """The link detectors reject most windows from their two ends; what
+    they report must equal the plain definitions over the window."""
+
+    @staticmethod
+    def stuck(hist, n):
+        window = hist[-(n + 1):]
+        queued = [s[0] for s in window]
+        return (len(hist) > n and queued[0] > 0 and len(set(queued)) == 1
+                and window[-1][1] == window[0][1])
+
+    @staticmethod
+    def rising(hist, n):
+        drops = [s[2] for s in hist[-(n + 1):]]
+        return len(hist) > n and all(b > a for a, b in zip(drops, drops[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(samples=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                      st.integers(0, 3)), max_size=10),
+           n=st.integers(0, 4))
+    def test_same_verdicts(self, samples, n):
+        link = _fake_link()
+        w = Watchdog(Simulator(), network=_network(link), stuck_window=n,
+                     drop_window=n)
+        for i, (queued, sent, drops) in enumerate(samples):
+            link.queue_length = queued
+            link.stats.transmitted = sent
+            link.stats.dropped_overflow = drops
+            w._observe()
+            hist = [tuple(s) for s in w._link_state["a->sw0"][1]]
+            detectors = {d.name: d for d in DEFAULT_DETECTORS}
+            assert bool(detectors["stuck_queue"].check(w, float(i))) == \
+                self.stuck(hist, n)
+            assert bool(detectors["rising_drop_rate"].check(w, float(i))) \
+                == self.rising(hist, n)
